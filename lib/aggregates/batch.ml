@@ -90,40 +90,48 @@ let thresholds_for db attr count =
    SUM(Y^2), SUM(Y), SUM(1) under the filter. Continuous features get
    [thresholds_per_feature] threshold filters; categorical features get the
    three aggregates grouped by the feature (one entry per category = the
-   set-membership splits). *)
-let decision_node ?(db : Database.t option) (f : Feature.t) =
-  let y =
+   set-membership splits). Each triple's ids share a suffix naming what it
+   is: [|x>=tj] for the j-th threshold of x, [|by k] for a categorical
+   feature and [|total] for a tree node's unsplit totals. *)
+let threshold_suffix x j = Printf.sprintf "|%s>=t%d" x j
+let category_suffix k = "|by " ^ k
+let total_suffix = "|total"
+
+let variance_triple ~response:y ?(filter = Predicate.True) ~group_by suffix =
+  [
+    Spec.make ~filter ~id:("sum_y2" ^ suffix) ~terms:[ (y, 2) ] ~group_by ();
+    Spec.make ~filter ~id:("sum_y" ^ suffix) ~terms:[ (y, 1) ] ~group_by ();
+    Spec.make ~filter ~id:("count" ^ suffix) ~terms:[] ~group_by ();
+  ]
+
+let decision_node ?(db : Database.t option) ?thresholds (f : Feature.t) =
+  let response =
     match f.response with
     | Some y -> y
     | None -> invalid_arg "Batch.decision_node: needs a response"
   in
-  let aggs = ref [] in
-  let push a = aggs := a :: !aggs in
-  let variance_triple ~suffix ~filter ~group_by =
-    push (Spec.make ~filter ~id:("sum_y2" ^ suffix) ~terms:[ (y, 2) ] ~group_by ());
-    push (Spec.make ~filter ~id:("sum_y" ^ suffix) ~terms:[ (y, 1) ] ~group_by ());
-    push (Spec.make ~filter ~id:("count" ^ suffix) ~terms:[] ~group_by ())
+  let thresholds_of x =
+    match (thresholds, db) with
+    | Some ths, _ -> Option.value ~default:[] (List.assoc_opt x ths)
+    | None, Some db -> thresholds_for db x f.thresholds_per_feature
+    | None, None -> List.init f.thresholds_per_feature (fun j -> float_of_int (j + 1))
   in
-  List.iter
-    (fun x ->
-      let ths =
-        match db with
-        | Some db -> thresholds_for db x f.thresholds_per_feature
-        | None ->
-            List.init f.thresholds_per_feature (fun j -> float_of_int (j + 1))
-      in
-      List.iteri
-        (fun j c ->
-          let filter = Predicate.Ge (x, Value.Float c) in
-          variance_triple ~suffix:(Printf.sprintf "|%s>=t%d" x j) ~filter ~group_by:[])
-        ths)
-    f.continuous;
-  List.iter
-    (fun k ->
-      variance_triple ~suffix:(Printf.sprintf "|by %s" k) ~filter:Predicate.True
-        ~group_by:[ k ])
-    f.categorical;
-  { name = "decision-node"; aggregates = List.rev !aggs }
+  let aggregates =
+    List.concat_map
+      (fun x ->
+        List.concat
+          (List.mapi
+             (fun j c ->
+               variance_triple ~response
+                 ~filter:(Predicate.Ge (x, Value.Float c))
+                 ~group_by:[] (threshold_suffix x j))
+             (thresholds_of x)))
+      f.continuous
+    @ List.concat_map
+        (fun k -> variance_triple ~response ~group_by:[ k ] (category_suffix k))
+        f.categorical
+  in
+  { name = "decision-node"; aggregates }
 
 (* --- mutual information (model selection, Chow-Liu trees) ---
 

@@ -15,10 +15,31 @@ val thresholds_for : Database.t -> string -> int -> float list
 (** Equi-width threshold candidates for a continuous attribute, from its
     observed range in the base relations. *)
 
-val decision_node : ?db:Database.t -> Feature.t -> t
+val decision_node :
+  ?db:Database.t -> ?thresholds:(string * float list) list -> Feature.t -> t
 (** Section 2.2: the variance triples (SUM(y^2), SUM(y), COUNT) per
-    candidate split — threshold filters for continuous features (thresholds
-    from [db] when given), grouped triples for categorical ones. *)
+    candidate split — threshold filters for continuous features, grouped
+    triples for categorical ones. Thresholds come from [thresholds] when
+    given (a feature it does not list gets none), else from [db], else
+    1..[thresholds_per_feature]. *)
+
+val variance_triple :
+  response:string ->
+  ?filter:Predicate.t ->
+  group_by:string list ->
+  string ->
+  Spec.t list
+(** [variance_triple ~response ~group_by suffix] is SUM(y^2), SUM(y), COUNT
+    with ids [sum_y2^suffix], [sum_y^suffix], [count^suffix]. *)
+
+val threshold_suffix : string -> int -> string
+(** Id suffix of the triple under the j-th threshold filter of a feature. *)
+
+val category_suffix : string -> string
+(** Id suffix of the triple grouped by a categorical feature. *)
+
+val total_suffix : string
+(** Id suffix of a tree node's unsplit totals (not part of {!decision_node}). *)
 
 val mutual_information : string list -> t
 (** COUNT plus all marginal and pairwise joint counts over the attributes

@@ -1,7 +1,7 @@
 (* Threshold-bucket rewriting for decision-tree node batches.
 
    The decision-node workload asks, per continuous feature x with candidate
-   thresholds c_1 < ... < c_k, for the triples (SUM(y^2), SUM(y), SUM(1))
+   thresholds c_1 <= ... <= c_k, for the triples (SUM(y^2), SUM(y), SUM(1))
    under each filter x >= c_j — 3k filtered aggregates per feature whose
    partial aggregates do NOT coincide (each filter differs), so plain
    sharing cannot collapse them. LMFAO's answer is to rewrite them into ONE
@@ -11,105 +11,106 @@
 
    and recover every threshold answer as a suffix sum over buckets:
    x >= c_j  <=>  bucket_x >= j. The batch shrinks from 3*k per feature to
-   3, the rest is O(k) postprocessing on the tiny grouped results. *)
+   3, the rest is O(k) postprocessing on the tiny grouped results. A tree
+   node's path filter applies to every aggregate alike, so it carries over
+   to the rewritten batch unchanged. *)
 
 open Relational
+module Batch = Aggregates.Batch
 module Spec = Aggregates.Spec
 module Feature = Aggregates.Feature
 
 let bucket_attr x = "__bucket_" ^ x
+let bucket_suffix x = "|bucket " ^ x
 
-let bucket_of thresholds v =
-  (* number of thresholds <= v; thresholds sorted ascending *)
-  let x = Value.to_float v in
-  let rec go acc = function
-    | c :: rest when c <= x -> go (acc + 1) rest
-    | _ -> acc
-  in
-  go 0 thresholds
+let bucket_of thresholds =
+  let cs = Array.of_list thresholds in
+  for j = 1 to Array.length cs - 1 do
+    if not (cs.(j - 1) <= cs.(j)) then
+      invalid_arg "Bucketed.bucket_of: thresholds are not ascending"
+  done;
+  fun v ->
+    (* binary search for the number of thresholds <= v *)
+    let x = Value.to_float v in
+    let lo = ref 0 and hi = ref (Array.length cs) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cs.(mid) <= x then lo := mid + 1 else hi := mid
+    done;
+    !lo
 
-(* The rewritten batch: per continuous feature a grouped triple over its
-   bucket column; per categorical feature the usual grouped triple; plus the
-   unfiltered totals. *)
-let rewritten_batch (f : Feature.t) (thresholds : (string * float list) list) =
-  let y = Option.get f.response in
-  let triple ~prefix ~group_by =
-    [
-      Spec.make ~id:(prefix ^ "#s2") ~terms:[ (y, 2) ] ~group_by ();
-      Spec.make ~id:(prefix ^ "#s") ~terms:[ (y, 1) ] ~group_by ();
-      Spec.make ~id:(prefix ^ "#n") ~terms:[] ~group_by ();
-    ]
-  in
+let augment db thresholds =
+  Derived.augment db
+    (List.map (fun (x, cs) -> (x, bucket_attr x, bucket_of cs)) thresholds)
+
+(* The rewritten batch: the node totals, per continuous feature a grouped
+   triple over its bucket column, per categorical feature the usual grouped
+   triple — all under [filter]. *)
+let rewritten_batch ?(filter = Predicate.True) (f : Feature.t)
+    (thresholds : (string * float list) list) =
+  let response = Option.get f.response in
+  let triple ~group_by suffix = Batch.variance_triple ~response ~filter ~group_by suffix in
   {
-    Aggregates.Batch.name = "decision-node-bucketed";
+    Batch.name = "decision-node-bucketed";
     aggregates =
-      triple ~prefix:"total" ~group_by:[]
+      triple ~group_by:[] Batch.total_suffix
       @ List.concat_map
           (fun x ->
             if List.mem_assoc x thresholds then
-              triple ~prefix:("bucket|" ^ x) ~group_by:[ bucket_attr x ]
+              triple ~group_by:[ bucket_attr x ] (bucket_suffix x)
             else [])
           f.continuous
       @ List.concat_map
-          (fun k -> triple ~prefix:("by|" ^ k) ~group_by:[ k ])
+          (fun k -> triple ~group_by:[ k ] (Batch.category_suffix k))
           f.categorical;
   }
 
-(* Evaluate the ORIGINAL decision-node batch ids (as produced by
-   [Aggregates.Batch.decision_node]) through the bucket rewriting. *)
-let decision_node_results ?(options = Engine.default_options) (db : Database.t)
+(* [suffix_sums k grouped] reads a result grouped by one bucket column
+   (buckets 0..k) into [a] with [a.(j)] the sum over buckets >= j: one pass
+   over the groups, one backwards pass over the buckets. *)
+let suffix_sums k (grouped : Spec.result) =
+  let sums = Array.make (k + 2) 0.0 in
+  List.iter
+    (fun (assignment, v) ->
+      match assignment with
+      | [ (_, bucket) ] ->
+          let b = Value.to_int bucket in
+          sums.(b) <- sums.(b) +. v
+      | _ -> invalid_arg "Bucketed.suffix_sums: not grouped by one bucket column")
+    grouped;
+  for j = k - 1 downto 0 do
+    sums.(j) <- sums.(j) +. sums.(j + 1)
+  done;
+  sums
+
+let node_results ?(options = Engine.default_options) ?filter (db : Database.t)
     (f : Feature.t) ~(thresholds : (string * float list) list) :
     (string * Spec.result) list =
-  let y = Option.get f.response in
-  ignore y;
-  let sorted_thresholds =
-    List.map (fun (x, cs) -> (x, List.sort compare cs)) thresholds
-  in
-  let db' =
-    Derived.augment db
-      (List.map
-         (fun (x, cs) -> (x, bucket_attr x, fun v -> bucket_of cs v))
-         sorted_thresholds)
-  in
-  let batch = rewritten_batch f sorted_thresholds in
-  let table = Lazy.force (Engine.eval ~options db' batch).table in
+  let keyed = (Engine.eval ~options db (rewritten_batch ?filter f thresholds)).keyed in
   let lookup id =
-    match Hashtbl.find_opt table id with
+    match List.assoc_opt id keyed with
     | Some r -> r
     | None -> invalid_arg ("Bucketed: missing aggregate " ^ id)
   in
-  (* suffix sums over the bucket groups *)
-  let suffix_of x kind j =
-    let grouped = lookup (Printf.sprintf "bucket|%s#%s" x kind) in
-    List.fold_left
-      (fun acc (assignment, v) ->
-        match assignment with
-        | [ (_, bucket) ] when Value.to_int bucket >= j -> acc +. v
-        | _ -> acc)
-      0.0 grouped
+  let kinds = [ "sum_y2"; "sum_y"; "count" ] in
+  let passed_through suffix =
+    List.map (fun kind -> (kind ^ suffix, lookup (kind ^ suffix))) kinds
   in
-  let results = ref [] in
-  let push id v = results := (id, v) :: !results in
-  (* mirror the id scheme of Batch.decision_node *)
-  List.iter
-    (fun x ->
-      match List.assoc_opt x sorted_thresholds with
-      | None -> ()
-      | Some cs ->
-          List.iteri
-            (fun j _c ->
-              let suffix = Printf.sprintf "|%s>=t%d" x j in
-              push ("sum_y2" ^ suffix) [ ([], suffix_of x "s2" (j + 1)) ];
-              push ("sum_y" ^ suffix) [ ([], suffix_of x "s" (j + 1)) ];
-              push ("count" ^ suffix) [ ([], suffix_of x "n" (j + 1)) ])
-            cs)
-    f.continuous;
-  List.iter
-    (fun k ->
-      let remap kind = lookup (Printf.sprintf "by|%s#%s" k kind) in
-      let suffix = Printf.sprintf "|by %s" k in
-      push ("sum_y2" ^ suffix) (remap "s2");
-      push ("sum_y" ^ suffix) (remap "s");
-      push ("count" ^ suffix) (remap "n"))
-    f.categorical;
-  List.rev !results
+  passed_through Batch.total_suffix
+  @ List.concat_map
+      (fun x ->
+        match List.assoc_opt x thresholds with
+        | None -> []
+        | Some cs ->
+            let k = List.length cs in
+            List.concat_map
+              (fun kind ->
+                let sums = suffix_sums k (lookup (kind ^ bucket_suffix x)) in
+                List.init k (fun j ->
+                    (kind ^ Batch.threshold_suffix x j, [ ([], sums.(j + 1)) ])))
+              kinds)
+      f.continuous
+  @ List.concat_map (fun k -> passed_through (Batch.category_suffix k)) f.categorical
+
+let decision_node_results ?options ?filter db f ~thresholds =
+  node_results ?options ?filter (augment db thresholds) f ~thresholds

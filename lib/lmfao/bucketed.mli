@@ -11,18 +11,38 @@ val bucket_attr : string -> string
 (** Name of the derived bucket column for a feature. *)
 
 val bucket_of : float list -> Value.t -> int
-(** [bucket_of thresholds v] is the number of (ascending) thresholds <= v. *)
+(** [bucket_of thresholds v] is the number of thresholds <= v. The
+    thresholds must be ascending: partial application checks that once and
+    raises [Invalid_argument] otherwise. *)
 
-val rewritten_batch : Feature.t -> (string * float list) list -> Aggregates.Batch.t
-(** The bucketed batch: unfiltered totals, one grouped triple per bucketed
-    continuous feature, one grouped triple per categorical feature. *)
+val augment : Database.t -> (string * float list) list -> Database.t
+(** [augment db thresholds] adds the bucket column of every listed feature
+    (thresholds ascending) to the relation that owns the feature. *)
 
-val decision_node_results :
+val rewritten_batch :
+  ?filter:Predicate.t -> Feature.t -> (string * float list) list -> Aggregates.Batch.t
+(** The bucketed batch, every aggregate under [filter] (default none): the
+    node totals, one grouped triple per bucketed continuous feature, one
+    grouped triple per categorical feature. *)
+
+val node_results :
   ?options:Engine.options ->
+  ?filter:Predicate.t ->
   Database.t ->
   Feature.t ->
   thresholds:(string * float list) list ->
   (string * Spec.result) list
-(** Answers the ORIGINAL [Aggregates.Batch.decision_node] aggregate ids by
-    evaluating the rewritten batch over the bucket-augmented database and
-    recovering each threshold answer as a suffix sum. *)
+(** Answers the ids of [Aggregates.Batch.decision_node ~thresholds] with
+    every aggregate under [filter], plus the node totals (suffix
+    [Aggregates.Batch.total_suffix]), by evaluating {!rewritten_batch} and
+    reading each threshold triple as a suffix sum. The database must
+    already carry the bucket columns of {!augment} for [thresholds]. *)
+
+val decision_node_results :
+  ?options:Engine.options ->
+  ?filter:Predicate.t ->
+  Database.t ->
+  Feature.t ->
+  thresholds:(string * float list) list ->
+  (string * Spec.result) list
+(** {!node_results} over [augment db thresholds]. *)

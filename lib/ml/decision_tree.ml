@@ -7,9 +7,11 @@
    per tree node answers ALL candidate splits at once, and the engine never
    materialises the data matrix. Thresholds for continuous features come
    from the value distribution; categorical features use one-vs-rest splits
-   read off a single GROUP BY triple. *)
+   read off a single GROUP BY triple. The LMFAO learner answers each node
+   through the threshold-bucket rewrite of [Lmfao.Bucketed]. *)
 
 open Relational
+module Batch = Aggregates.Batch
 module Spec = Aggregates.Spec
 module Feature = Aggregates.Feature
 
@@ -29,103 +31,72 @@ let default_params = { max_depth = 4; min_samples = 10.0; min_gain = 1e-6 }
 let sse ~count ~sum ~sum2 =
   if count <= 0.0 then 0.0 else sum2 -. (sum *. sum /. count)
 
-type evaluator = Spec.t list -> (string -> Spec.result)
+type evaluator = Predicate.t -> string -> Spec.result
 
-(* the per-node batch: total triple, one filtered triple per continuous
-   threshold, one grouped triple per categorical feature *)
+let conj p q =
+  match (p, q) with
+  | Predicate.True, q -> q
+  | p, Predicate.True -> p
+  | p, q -> Predicate.And (p, q)
+
+(* the per-node batch: the decision-node batch plus the total triple, every
+   aggregate under the path filter *)
 let node_specs ~(path : Predicate.t) (f : Feature.t)
     (thresholds : (string * float list) list) : Spec.t list =
-  let y = Option.get f.response in
-  let with_path extra =
-    match (path, extra) with
-    | Predicate.True, e -> e
-    | p, Predicate.True -> p
-    | p, e -> Predicate.And (p, e)
-  in
-  let triple ~prefix ~filter ~group_by =
-    [
-      Spec.make ~filter ~id:(prefix ^ "#n") ~terms:[] ~group_by ();
-      Spec.make ~filter ~id:(prefix ^ "#s") ~terms:[ (y, 1) ] ~group_by ();
-      Spec.make ~filter ~id:(prefix ^ "#s2") ~terms:[ (y, 2) ] ~group_by ();
-    ]
-  in
-  triple ~prefix:"total" ~filter:(with_path Predicate.True) ~group_by:[]
-  @ List.concat_map
-      (fun x ->
-        let ths = Option.value ~default:[] (List.assoc_opt x thresholds) in
-        List.concat
-          (List.mapi
-             (fun j c ->
-               triple
-                 ~prefix:(Printf.sprintf "ge|%s|%d" x j)
-                 ~filter:(with_path (Predicate.Ge (x, Value.Float c)))
-                 ~group_by:[])
-             ths))
-      f.continuous
-  @ List.concat_map
-      (fun k ->
-        triple ~prefix:(Printf.sprintf "by|%s" k)
-          ~filter:(with_path Predicate.True) ~group_by:[ k ])
-      f.categorical
+  let response = Option.get f.response in
+  Batch.variance_triple ~response ~filter:path ~group_by:[] Batch.total_suffix
+  @ List.map
+      (fun (spec : Spec.t) -> { spec with filter = conj path spec.filter })
+      (Batch.decision_node ~thresholds f).aggregates
 
 let scalar lookup id = Spec.scalar_result (lookup id)
 
 let rec grow ~(params : params) ~(evaluate : evaluator) ~(path : Predicate.t)
     (f : Feature.t) (thresholds : (string * float list) list) depth : tree =
-  let lookup = evaluate (node_specs ~path f thresholds) in
-  let n = scalar lookup "total#n" in
-  let s = scalar lookup "total#s" in
-  let s2 = scalar lookup "total#s2" in
+  let lookup = evaluate path in
+  let triple suffix =
+    ( scalar lookup ("count" ^ suffix),
+      scalar lookup ("sum_y" ^ suffix),
+      scalar lookup ("sum_y2" ^ suffix) )
+  in
+  let n, s, s2 = triple Batch.total_suffix in
   let prediction = if n > 0.0 then s /. n else 0.0 in
   let total_sse = sse ~count:n ~sum:s ~sum2:s2 in
   let leaf () = Leaf { prediction; count = n } in
   if depth >= params.max_depth || n < params.min_samples then leaf ()
   else begin
-    (* candidate splits: continuous thresholds... *)
     let candidates = ref [] in
+    let consider split (ln, ls, ls2) =
+      let rn = n -. ln and rs = s -. ls and rs2 = s2 -. ls2 in
+      if ln > 0.0 && rn > 0.0 then begin
+        let gain =
+          total_sse -. sse ~count:ln ~sum:ls ~sum2:ls2 -. sse ~count:rn ~sum:rs ~sum2:rs2
+        in
+        candidates := (gain, split) :: !candidates
+      end
+    in
+    (* candidate splits: continuous thresholds... *)
     List.iter
       (fun x ->
         let ths = Option.value ~default:[] (List.assoc_opt x thresholds) in
         List.iteri
-          (fun j c ->
-            let prefix = Printf.sprintf "ge|%s|%d" x j in
-            let ln = scalar lookup (prefix ^ "#n") in
-            let ls = scalar lookup (prefix ^ "#s") in
-            let ls2 = scalar lookup (prefix ^ "#s2") in
-            let rn = n -. ln and rs = s -. ls and rs2 = s2 -. ls2 in
-            if ln > 0.0 && rn > 0.0 then begin
-              let gain =
-                total_sse -. sse ~count:ln ~sum:ls ~sum2:ls2
-                -. sse ~count:rn ~sum:rs ~sum2:rs2
-              in
-              candidates := (gain, Threshold (x, c), (ln, ls, ls2), (rn, rs, rs2)) :: !candidates
-            end)
+          (fun j c -> consider (Threshold (x, c)) (triple (Batch.threshold_suffix x j)))
           ths)
       f.continuous;
     (* ...and categorical one-vs-rest splits from the grouped triples *)
     List.iter
       (fun k ->
-        let prefix = Printf.sprintf "by|%s" k in
-        let counts = lookup (prefix ^ "#n") in
-        let sums = lookup (prefix ^ "#s") in
-        let sums2 = lookup (prefix ^ "#s2") in
+        let suffix = Batch.category_suffix k in
+        let sums = lookup ("sum_y" ^ suffix) in
+        let sums2 = lookup ("sum_y2" ^ suffix) in
         List.iter
           (fun (assignment, ln) ->
             match assignment with
             | [ (_, v) ] ->
-                let ls = Spec.lookup sums assignment in
-                let ls2 = Spec.lookup sums2 assignment in
-                let rn = n -. ln and rs = s -. ls and rs2 = s2 -. ls2 in
-                if ln > 0.0 && rn > 0.0 then begin
-                  let gain =
-                    total_sse -. sse ~count:ln ~sum:ls ~sum2:ls2
-                    -. sse ~count:rn ~sum:rs ~sum2:rs2
-                  in
-                  candidates :=
-                    (gain, Category (k, v), (ln, ls, ls2), (rn, rs, rs2)) :: !candidates
-                end
+                consider (Category (k, v))
+                  (ln, Spec.lookup sums assignment, Spec.lookup sums2 assignment)
             | _ -> ())
-          counts)
+          (lookup ("count" ^ suffix)))
       f.categorical;
     (* deterministic best: highest gain, ties by split description *)
     let describe = function
@@ -134,25 +105,22 @@ let rec grow ~(params : params) ~(evaluate : evaluator) ~(path : Predicate.t)
     in
     match
       List.sort
-        (fun (g1, s1, _, _) (g2, s2, _, _) ->
+        (fun (g1, s1) (g2, s2) ->
           match compare g2 g1 with 0 -> compare (describe s1) (describe s2) | c -> c)
         !candidates
     with
-    | (gain, split, _, _) :: _ when gain > params.min_gain ->
+    | (gain, split) :: _ when gain > params.min_gain ->
         let left_pred, right_pred =
           match split with
           | Threshold (x, c) ->
               (Predicate.Ge (x, Value.Float c), Predicate.Lt (x, Value.Float c))
           | Category (k, v) -> (Predicate.Eq (k, v), Predicate.Not (Predicate.Eq (k, v)))
         in
-        let extend p =
-          match path with Predicate.True -> p | _ -> Predicate.And (path, p)
-        in
         let left =
-          grow ~params ~evaluate ~path:(extend left_pred) f thresholds (depth + 1)
+          grow ~params ~evaluate ~path:(conj path left_pred) f thresholds (depth + 1)
         in
         let right =
-          grow ~params ~evaluate ~path:(extend right_pred) f thresholds (depth + 1)
+          grow ~params ~evaluate ~path:(conj path right_pred) f thresholds (depth + 1)
         in
         Node { split; left; right; count = n }
     | _ -> leaf ()
@@ -163,32 +131,35 @@ let thresholds_of_db (db : Database.t) (f : Feature.t) =
     (fun x -> (x, Aggregates.Batch.thresholds_for db x f.thresholds_per_feature))
     f.continuous
 
-(* Structure-aware training: one LMFAO batch per tree node. *)
+let lookup_of results =
+  let table = Hashtbl.of_seq (List.to_seq results) in
+  fun id ->
+    match Hashtbl.find_opt table id with
+    | Some r -> r
+    | None -> invalid_arg ("Decision_tree: missing aggregate " ^ id)
+
+(* Structure-aware training: one bucketed LMFAO batch per tree node, over
+   a database that gains its bucket columns once per call. *)
 let train ?(params = default_params) ?(engine_options = Lmfao.Engine.default_options)
     (db : Database.t) (f : Feature.t) : tree =
   let thresholds = thresholds_of_db db f in
-  let evaluate specs =
-    let batch = { Aggregates.Batch.name = "tree-node"; aggregates = specs } in
-    let table = Lazy.force (Lmfao.Engine.eval ~options:engine_options db batch).table in
-    fun id ->
-      match Hashtbl.find_opt table id with
-      | Some r -> r
-      | None -> invalid_arg ("Decision_tree: missing aggregate " ^ id)
+  let db = Lmfao.Bucketed.augment db thresholds in
+  let evaluate path =
+    lookup_of
+      (Lmfao.Bucketed.node_results ~options:engine_options ~filter:path db f ~thresholds)
   in
   grow ~params ~evaluate ~path:Predicate.True f thresholds 0
 
-(* Structure-agnostic training over a materialised data matrix, same specs
-   evaluated by scans — the reference implementation. *)
+(* Structure-agnostic training over a materialised data matrix: the
+   unrewritten node batch evaluated by scans — the reference
+   implementation. *)
 let train_flat ?(params = default_params) (join : Relation.t) (f : Feature.t)
     ~(thresholds : (string * float list) list) : tree =
-  let evaluate specs =
-    let results =
-      List.map (fun spec -> (spec.Spec.id, Spec.eval_flat join spec)) specs
-    in
-    fun id ->
-      match List.assoc_opt id results with
-      | Some r -> r
-      | None -> invalid_arg ("Decision_tree: missing aggregate " ^ id)
+  let evaluate path =
+    lookup_of
+      (List.map
+         (fun (spec : Spec.t) -> (spec.id, Spec.eval_flat join spec))
+         (node_specs ~path f thresholds))
   in
   grow ~params ~evaluate ~path:Predicate.True f thresholds 0
 

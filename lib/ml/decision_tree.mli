@@ -25,13 +25,15 @@ val default_params : params
 val sse : count:float -> sum:float -> sum2:float -> float
 (** Sum of squared errors around the mean, from a variance triple. *)
 
-type evaluator = Spec.t list -> string -> Spec.result
-(** How a node's batch gets answered (engine or flat scans). *)
+type evaluator = Predicate.t -> string -> Spec.result
+(** How the batch of the node with a given path filter gets answered
+    (bucketed LMFAO batch or flat scans), as a lookup by aggregate id. *)
 
 val node_specs :
   path:Predicate.t -> Feature.t -> (string * float list) list -> Spec.t list
-(** The per-node batch under a path filter: total triple, per-threshold
-    triples, per-categorical grouped triples. *)
+(** The unrewritten per-node batch under a path filter: the total triple
+    plus [Aggregates.Batch.decision_node ~thresholds], every aggregate
+    filtered by the path. *)
 
 val thresholds_of_db : Database.t -> Feature.t -> (string * float list) list
 
@@ -41,7 +43,8 @@ val train :
   Database.t ->
   Feature.t ->
   tree
-(** Structure-aware training: one LMFAO batch per node. *)
+(** Structure-aware training: one LMFAO batch per node, the threshold
+    triples rewritten into bucket group-bys ([Lmfao.Bucketed]). *)
 
 val train_flat :
   ?params:params ->

@@ -189,32 +189,111 @@ let empty_join_gives_zero () =
   Alcotest.(check (float 0.0)) "count 0" 0.0 (Spec.scalar_result (List.assoc "n" results));
   Alcotest.(check int) "no groups" 0 (List.length (List.assoc "sx" results))
 
-(* the bucket rewriting must answer the ORIGINAL decision-node batch ids *)
+(* A random tree-node path: a conjunction of up to three Ge / Lt / Eq /
+   Not Eq conditions over the star's attributes. *)
+let random_path rng domain =
+  let attrs =
+    [ ("a", `I); ("b", `I); ("c", `I); ("x", `I); ("y", `I); ("z", `I);
+      ("m1", `F); ("m2", `F); ("u", `F) ]
+  in
+  let condition () =
+    let a, ty = List.nth attrs (Util.Prng.int rng (List.length attrs)) in
+    let v =
+      match ty with
+      | `I -> int (Util.Prng.int rng (max domain 3))
+      | `F -> flt (float_of_int (Util.Prng.int rng 10))
+    in
+    match Util.Prng.int rng 4 with
+    | 0 -> Predicate.Ge (a, v)
+    | 1 -> Predicate.Lt (a, v)
+    | 2 -> Predicate.Eq (a, v)
+    | _ -> Predicate.Not (Predicate.Eq (a, v))
+  in
+  List.fold_left
+    (fun p c -> if p = Predicate.True then c else Predicate.And (p, c))
+    Predicate.True
+    (List.init (Util.Prng.int rng 4) (fun _ -> condition ()))
+
+(* the bucket rewriting must answer the ORIGINAL, unrewritten node batch
+   ids under any tree-node path filter *)
 let bucketed_equals_flat =
-  QCheck2.Test.make ~count:20 ~name:"bucket rewriting = flat decision batch"
+  QCheck2.Test.make ~count:40 ~name:"bucket rewriting = flat decision batch"
     QCheck2.Gen.(triple (int_range 1 30) (int_range 1 5) int)
     (fun (card, domain, seed) ->
       let rng = Util.Prng.create seed in
       let db = random_star rng card domain in
+      let path = random_path rng domain in
       let thresholds =
         List.map
           (fun x -> (x, Batch.thresholds_for db x 4))
           features.Feature.continuous
       in
-      let batch = Batch.decision_node ~db { features with thresholds_per_feature = 4 } in
-      let flat = Batch.eval_flat (Database.materialise_join db) batch in
-      let bucketed = Lmfao.Bucketed.decision_node_results db features ~thresholds in
-      List.for_all
-        (fun (id, reference) ->
-          match List.assoc_opt id bucketed with
-          | None -> false
-          | Some mine ->
-              let norm r =
-                List.sort compare (List.filter (fun (_, v) -> Float.abs v > 1e-12) r)
-              in
-              norm mine = [] && norm reference = []
-              || Spec.result_equal (norm mine) (norm reference))
-        flat)
+      let flat =
+        Batch.eval_flat (Database.materialise_join db)
+          {
+            Batch.name = "node";
+            aggregates = Ml.Decision_tree.node_specs ~path features thresholds;
+          }
+      in
+      let bucketed =
+        Lmfao.Bucketed.decision_node_results ~filter:path db features ~thresholds
+      in
+      List.length bucketed = List.length flat
+      && List.for_all
+           (fun (id, reference) ->
+             match List.assoc_opt id bucketed with
+             | None -> false
+             | Some mine ->
+                 let norm r =
+                   List.sort compare (List.filter (fun (_, v) -> Float.abs v > 1e-12) r)
+                 in
+                 norm mine = [] && norm reference = []
+                 || Spec.result_equal (norm mine) (norm reference))
+           flat)
+
+let bucket_of_needs_ascending () =
+  Alcotest.(check int) "thresholds <= v" 2
+    (Lmfao.Bucketed.bucket_of [ 1.0; 2.0; 2.5 ] (flt 2.0));
+  Alcotest.(check int) "below all" 0 (Lmfao.Bucketed.bucket_of [ 1.0 ] (flt 0.5));
+  Alcotest.check_raises "unsorted thresholds"
+    (Invalid_argument "Bucketed.bucket_of: thresholds are not ascending") (fun () ->
+      ignore (Lmfao.Bucketed.bucket_of [ 2.0; 1.0 ] : Value.t -> int))
+
+(* ---- derived columns ---- *)
+
+let derived_augment () =
+  let rng = Util.Prng.create 11 in
+  let db = random_star rng 25 4 in
+  let f v = int_of_float (Value.to_float v) mod 3 in
+  let db' = Lmfao.Derived.augment db [ ("u", "u_mod3", f) ] in
+  let find db name =
+    List.find (fun r -> Relation.name r = name) (Database.relations db)
+  in
+  let d1 = find db "D1" and d1' = find db' "D1" in
+  let schema' = Relation.schema d1' in
+  Alcotest.(check int) "one more column"
+    (Schema.arity (Relation.schema d1) + 1) (Schema.arity schema');
+  Alcotest.(check int) "same rows" (Relation.cardinality d1) (Relation.cardinality d1');
+  let src = Schema.position (Relation.schema d1) "u" in
+  let dst = Schema.position schema' "u_mod3" in
+  Relation.iteri
+    (fun i t ->
+      let row = Relation.get d1' i in
+      if Array.sub row 0 (Array.length t) <> t then
+        Alcotest.failf "row %d: source columns changed" i;
+      if not (Value.equal row.(dst) (int (f t.(src)))) then
+        Alcotest.failf "row %d: derived column is not f of u" i)
+    d1;
+  List.iter
+    (fun name ->
+      let r = find db name and r' = find db' name in
+      Alcotest.(check bool) (name ^ " unchanged") true
+        (Schema.attrs (Relation.schema r) = Schema.attrs (Relation.schema r')
+        && Relation.to_list r = Relation.to_list r'))
+    [ "F"; "D2"; "D3" ];
+  Alcotest.check_raises "unknown attribute"
+    (Invalid_argument "Derived.augment: unknown attribute nope") (fun () ->
+      ignore (Lmfao.Derived.augment db [ ("nope", "n2", f) ]))
 
 (* ---- parallel differential ----
 
@@ -371,7 +450,13 @@ let () =
               (fun b -> qcheck (engine_matches_flat b desc options))
               [ "covariance"; "decision"; "mutualinfo"; "kmeans" ])
           all_options );
-      ("bucketed", [ qcheck bucketed_equals_flat ]);
+      ( "bucketed",
+        [
+          qcheck bucketed_equals_flat;
+          Alcotest.test_case "bucket_of needs ascending thresholds" `Quick
+            bucket_of_needs_ascending;
+        ] );
+      ("derived", [ Alcotest.test_case "augment" `Quick derived_augment ]);
       ("parallel-differential", List.map qcheck parallel_differential_matrix);
       ( "cyclic",
         [

@@ -150,6 +150,30 @@ let test_tree_db_equals_flat () =
         Alcotest.failf "tree predictions differ: %g vs %g" p1 p2)
     join
 
+(* On the dyadic lattice every variance sum is exact, so split gains do not
+   depend on summation order: the bucketed learner must pick the very same
+   splits as the flat reference, ties included. *)
+let test_tree_lattice_same_splits seed () =
+  let db =
+    Datagen.Stream_gen.lattice_database (Datagen.Retailer.generate ~scale:0.02 ~seed ())
+  in
+  let f = Datagen.Retailer.features in
+  let params = { Ml.Decision_tree.default_params with max_depth = 3 } in
+  let t_db = Ml.Decision_tree.train ~params db f in
+  let t_flat =
+    Ml.Decision_tree.train_flat ~params (Database.materialise_join db) f
+      ~thresholds:(Ml.Decision_tree.thresholds_of_db db f)
+  in
+  let rec splits = function
+    | Ml.Decision_tree.Leaf _ -> []
+    | Node { split; left; right; _ } -> (split :: splits left) @ splits right
+  in
+  Alcotest.(check int) "depth 3" 3 (Ml.Decision_tree.depth t_db);
+  if splits t_db <> splits t_flat then
+    Alcotest.failf "splits differ:@.%a@.vs flat:@.%a"
+      (Ml.Decision_tree.pp ?indent:None) t_db (Ml.Decision_tree.pp ?indent:None) t_flat;
+  Alcotest.(check bool) "identical trees" true (t_db = t_flat)
+
 let test_tree_beats_constant () =
   let db = planted_db ~seed:6 ~noise:0.3 () in
   let f = planted_features in
@@ -726,6 +750,10 @@ let () =
       ( "decision-tree",
         [
           Alcotest.test_case "db-trained = flat-trained" `Quick test_tree_db_equals_flat;
+          Alcotest.test_case "lattice: same splits as flat (seed 42)" `Quick
+            (test_tree_lattice_same_splits 42);
+          Alcotest.test_case "lattice: same splits as flat (seed 7)" `Quick
+            (test_tree_lattice_same_splits 7);
           Alcotest.test_case "beats constant" `Quick test_tree_beats_constant;
         ] );
       ("kmeans", [ Alcotest.test_case "rk-means near lloyd" `Quick test_rkmeans_near_lloyd ]);
